@@ -19,4 +19,4 @@ lint:
 	./bin/ksrlint ./...
 
 bench:
-	$(GO) test ./internal/sim -run '^$$' -bench 'EventThroughput|ProcessSwitch' -benchtime=1s -benchmem
+	$(GO) test ./internal/sim -run '^$$' -bench 'EventThroughput|ProcessSwitch|ResourceHandoff' -benchtime=1s -benchmem

@@ -2,12 +2,12 @@
 // inside the simulated machine may only advance by engine-mediated
 // park/resume (Process.Sleep, Resource acquire, Cond wait). Spawning a
 // raw goroutine breaks the single-control-token discipline (the engine
-// guarantees exactly one runnable goroutine, which is what makes runs
+// runs exactly one process coroutine at a time, which is what makes runs
 // reproducible and data-race-free by construction), and real-clock
 // waits stall the host thread without advancing simulated time.
 //
 // The sweep layer (internal/experiments) is host-side orchestration and
-// is exempt; the engine's own goroutine creation in Spawn carries an
+// is exempt; the reaper goroutine in Engine.Shutdown carries an
 // explained //lint:ignore. Methods of the PDES coordinator (receiver
 // type Partitioned) are the one sanctioned goroutine site inside the
 // sim packages: its barrier-window protocol confines each worker to

@@ -20,7 +20,7 @@ func hostTimer() *time.Timer {
 	return time.NewTimer(time.Second) // want `time.NewTimer waits on the host clock`
 }
 
-// suppressed mirrors Engine.Spawn's explained ignore.
+// engineSpawn mirrors the engine's explained ignore.
 func engineSpawn(body func()) {
 	//lint:ignore ksrlint/simprocess fixture: the engine-mediated spawn path itself
 	go body()

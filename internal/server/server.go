@@ -870,6 +870,13 @@ func (s *Server) run(ctx context.Context, j *job, runner experiments.Runner, cfg
 	j.mu.Lock()
 	j.sess = sess
 	j.mu.Unlock()
+	// The session holds every machine the run built; progress is only
+	// read while the job runs, so a finished job must not keep it.
+	defer func() {
+		j.mu.Lock()
+		j.sess = nil
+		j.mu.Unlock()
+	}()
 	j.setState(api.StateRunning)
 	// Per-job cancellation: the queue cancels ctx (user cancel, drain
 	// grace expiry, or deadline), the session stops the sweep at its

@@ -473,3 +473,47 @@ func TestDecodeSubmitShapes(t *testing.T) {
 		t.Error("non-object body accepted")
 	}
 }
+
+// TestFinishedJobsReleaseSessions pins the daemon's memory bound: a
+// session holds every machine its run built, so once a job's run
+// returns, the job record must no longer reference it.
+func TestFinishedJobsReleaseSessions(t *testing.T) {
+	s, ts := newTestServer(t, 2, 8)
+	const n = 4
+	var ids []string
+	for i := 0; i < n; i++ {
+		spec := api.JobSpec{
+			Experiment: "latency",
+			Config:     json.RawMessage(fmt.Sprintf(`{"Cells":%d,"RegionBytes":8192,"Procs":[1]}`, i+2)),
+		}
+		_, body := postJSON(t, ts.URL+"/v1/jobs", spec)
+		var sub api.SubmitResponse
+		if err := json.Unmarshal(body, &sub); err != nil || len(sub.Jobs) != 1 {
+			t.Fatalf("submit %d: %s", i, body)
+		}
+		ids = append(ids, sub.Jobs[0].ID)
+	}
+	for _, id := range ids {
+		if st := waitJob(t, ts.URL, id); st.State != api.StateDone {
+			t.Fatalf("job %s: state %s (%s)", id, st.State, st.Error)
+		}
+	}
+	// Drain returns once every worker has exited, so every run has
+	// returned and its deferred release has run.
+	if !s.Drain(2 * time.Second) {
+		t.Fatal("drain was not clean")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.jobs) != n {
+		t.Fatalf("server tracks %d jobs, want %d", len(s.jobs), n)
+	}
+	for id, j := range s.jobs {
+		j.mu.Lock()
+		held := j.sess != nil
+		j.mu.Unlock()
+		if held {
+			t.Errorf("finished job %s still holds its obs.Session", id)
+		}
+	}
+}

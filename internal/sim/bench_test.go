@@ -20,8 +20,8 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessSwitch measures the goroutine-handoff cost of one
-// Sleep/resume cycle — the dominant cost of fine-grained simulations.
+// BenchmarkProcessSwitch measures one Sleep/resume cycle of a lone
+// process: the self-resume fast path, which parks without switching.
 func BenchmarkProcessSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("p", func(p *Process) {
@@ -36,7 +36,7 @@ func BenchmarkProcessSwitch(b *testing.B) {
 }
 
 // BenchmarkResourceHandoff measures contended FIFO resource cycling
-// between two processes.
+// between two processes, where every grant is a real coroutine switch.
 func BenchmarkResourceHandoff(b *testing.B) {
 	e := NewEngine()
 	r := NewResource(e, "r", 1)

@@ -1,14 +1,20 @@
+// The constraint raises this file's language version to go1.23 for
+// iter.Pull. go.mod stays at go 1.22 so that a module requiring this one
+// through a replace directive builds without a go.mod update.
+//
+//go:build go1.23
+
 // Package sim implements a deterministic process-oriented discrete-event
 // simulation engine.
 //
-// Simulated processes run as goroutines, but exactly one goroutine executes
-// at any instant: a single control token passes between the engine and the
-// processes. A process that parks runs the event dispatch loop itself until
-// an event resumes another process (or itself — in which case no goroutine
-// switch happens at all), so a context switch costs one channel rendezvous
-// rather than a round-trip through a scheduler goroutine. Events with equal
-// timestamps fire in the order they were scheduled. All of this makes every
-// simulation run bit-for-bit reproducible for a given program and seed.
+// Simulated processes run as runtime coroutines (iter.Pull), so exactly one
+// of them executes at any instant and switching between them never goes
+// through the Go scheduler. A process that parks runs the event dispatch
+// loop itself until an event resumes another process (or itself — in which
+// case no switch happens at all); only then does it yield to the driver
+// loop in Run, which resumes the next process. Events with equal timestamps
+// fire in the order they were scheduled. All of this makes every simulation
+// run bit-for-bit reproducible for a given program and seed.
 //
 // The event queue is a calendar queue (see queue.go) with pooled event
 // records and one intrusive, reusable resume event per process, so the
@@ -23,6 +29,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
 	"strings"
 )
@@ -97,7 +104,7 @@ type Hooks struct {
 	// EventFired runs after a plain callback event is dispatched.
 	EventFired func(at Time)
 	// ProcessResume runs when a process regains control (its resume
-	// event fired), before its goroutine continues.
+	// event fired), before its coroutine continues.
 	ProcessResume func(at Time, p *Process)
 	// ProcessPark runs when a process parks, with the same reason
 	// string that deadlock reports use.
@@ -115,10 +122,8 @@ type Engine struct {
 	q      eventQueue
 	free   *event // pooled callback events
 
-	mainWake chan struct{} // wakes the Run caller when the loop ends
-	reaped   chan struct{} // Shutdown handshake: one unwound goroutine
-
 	procs   []*Process
+	handoff *Process // process the driver loop resumes next, nil when the run is over
 	running *Process // process currently executing, nil if engine itself
 	nlive   int      // spawned but not finished
 
@@ -149,12 +154,7 @@ func (e *Engine) SetHooks(h *Hooks) {
 }
 
 // NewEngine returns an empty simulation at time zero.
-func NewEngine() *Engine {
-	return &Engine{
-		mainWake: make(chan struct{}, 1),
-		reaped:   make(chan struct{}),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -166,7 +166,7 @@ func (e *Engine) EventsExecuted() uint64 { return e.events }
 
 // SetDeadline makes Run return once simulated time reaches t. A zero
 // deadline (the default) means no limit. A Run abandoned at its deadline
-// leaves parked process goroutines behind; call Shutdown to release them.
+// leaves parked process coroutines behind; call Shutdown to release them.
 func (e *Engine) SetDeadline(t Time) { e.maxTime = t }
 
 // alloc takes a callback event from the pool.
@@ -259,13 +259,18 @@ func (e *Engine) scheduleResume(d Time, p *Process) {
 // Process is a simulated thread of control.
 type Process struct {
 	eng   *Engine
-	wake  chan struct{} // control-token handoff, capacity 1
 	name  string
 	id    int
 	timer event // intrusive resume event; timer.proc == the process itself
 
+	// The body's coroutine, from iter.Pull. All three are dropped once the
+	// process finishes or is reaped: they reach the body's captures, and
+	// an engine kept for its trace would otherwise pin its whole machine.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+
 	done       bool
-	reap       bool   // set (by the goroutine itself) when unwinding for Shutdown
 	blocked    bool   // parked with no pending resume event
 	blockWhy   string // human-readable reason, for deadlock reports
 	blockSince Time   // when the process last parked without a resume event
@@ -290,53 +295,35 @@ func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 	if e.shutdown {
 		panic("sim: Spawn on a shut-down engine")
 	}
-	p := &Process{
-		eng:  e,
-		wake: make(chan struct{}, 1),
-		name: name,
-		id:   len(e.procs),
-	}
+	p := &Process{eng: e, name: name, id: len(e.procs)}
 	p.timer.proc = p
 	e.procs = append(e.procs, p)
 	e.nlive++
-	//lint:ignore ksrlint/simprocess Spawn is the engine-mediated path itself: the control token guarantees exactly one of these goroutines is ever runnable
-	go func() {
-		// p.reap is only ever touched by this goroutine, at points where it
-		// holds the control token — reading e.shutdown here after the final
-		// handoff would race with a later Shutdown.
-		defer func() {
-			if p.reap {
-				e.reaped <- struct{}{}
-			}
-		}()
-		<-p.wake
-		if e.shutdown {
-			p.reap = true
-			return
-		}
-		body(p)
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		// Once started, only the coroutine's stack keeps the body.
+		run := body
+		body = nil
+		run(p)
 		if fn := e.hooks.ProcessDone; fn != nil {
 			fn(e.now, p)
 		}
 		p.done = true
 		e.nlive--
-		// The finishing goroutine keeps dispatching until control moves on.
-		if next := e.dispatch(nil); next != nil {
-			next.wake <- struct{}{}
-		} else {
-			e.mainWake <- struct{}{}
-		}
-	}()
+		p.resume, p.stop, p.yield = nil, nil, nil
+		// The finishing coroutine keeps dispatching until control moves on.
+		e.handoff = e.dispatch(nil)
+	})
 	e.scheduleResume(0, p)
 	return p
 }
 
-// dispatch runs the event loop in the calling goroutine, which must hold
-// the engine's control token. self is the parking process whose goroutine
-// is executing the loop (nil when called from Run or a finishing process).
-// It returns the process control should transfer to, or nil when the run
-// is over (with the outcome recorded in e.runErr); when it returns self,
-// control has come straight back and no goroutine switch is needed.
+// dispatch runs the event loop in the calling coroutine, which must be the
+// only one executing. self is the parking process whose coroutine is
+// executing the loop (nil when called from the driver or a finishing
+// process). It returns the process control should transfer to, or nil when
+// the run is over (with the outcome recorded in e.runErr); when it returns
+// self, control has come straight back and no switch is needed.
 //
 //ksr:hotpath
 func (e *Engine) dispatch(self *Process) *Process {
@@ -402,33 +389,25 @@ func (e *Engine) dispatch(self *Process) *Process {
 }
 
 // park suspends the calling process until the engine resumes it. The
-// parking goroutine dispatches further events itself; control returns
-// either directly (the next event resumed this same process) or through
-// the wake channel.
+// parking coroutine dispatches further events itself; control returns
+// either directly (the next event resumed this same process) or, after a
+// yield to the driver loop, when the driver resumes this coroutine.
 //
 //ksr:hotpath
 func (p *Process) park(why string) {
 	e := p.eng
 	if e.shutdown {
 		// A deferred call parked again while unwinding for Shutdown.
-		p.reap = true
 		runtime.Goexit()
 	}
 	p.blockWhy = why
 	if fn := e.hooks.ProcessPark; fn != nil {
 		fn(e.now, p, why)
 	}
-	next := e.dispatch(p)
-	if next != p {
-		if next != nil {
-			next.wake <- struct{}{}
-		} else {
-			e.mainWake <- struct{}{}
-		}
-		<-p.wake
-		if e.shutdown {
-			p.reap = true
-			runtime.Goexit()
+	if next := e.dispatch(p); next != p {
+		e.handoff = next
+		if !p.yield(struct{}{}) {
+			runtime.Goexit() // stopped by Shutdown: unwind the body
 		}
 	}
 	p.blockWhy = ""
@@ -560,16 +539,25 @@ func (e *Engine) SetWatchdog(limit int) { e.watchdogLimit = limit }
 // nil otherwise.
 //
 // A Run that ends with processes still parked (deadline, deadlock,
-// livelock, Stop) leaves their goroutines alive; call Shutdown to release
-// them once the engine is abandoned.
+// livelock, Stop) leaves their coroutines alive; call Shutdown to release
+// them once the engine is abandoned. A panic in a process body surfaces
+// from Run in the caller's goroutine.
 func (e *Engine) Run() error {
 	if e.shutdown {
 		panic("sim: Run on a shut-down engine")
 	}
+	return e.drive()
+}
+
+// drive is the driver loop behind Run and RunWindow: it resumes one
+// process coroutine at a time until a parking or finishing process hands
+// back nil, and returns the run's outcome.
+//
+//ksr:hotpath
+func (e *Engine) drive() error {
 	e.runErr = nil
-	if next := e.dispatch(nil); next != nil {
-		next.wake <- struct{}{}
-		<-e.mainWake
+	for next := e.dispatch(nil); next != nil; next = e.handoff {
+		next.resume()
 	}
 	err := e.runErr
 	e.runErr = nil
@@ -591,14 +579,8 @@ func (e *Engine) RunWindow(limit Time) error {
 		panic(fmt.Sprintf("sim: RunWindow with non-positive limit %v", limit))
 	}
 	e.pauseAt = limit
-	e.runErr = nil
-	if next := e.dispatch(nil); next != nil {
-		next.wake <- struct{}{}
-		<-e.mainWake
-	}
+	err := e.drive()
 	e.pauseAt = 0
-	err := e.runErr
-	e.runErr = nil
 	return err
 }
 
@@ -606,14 +588,14 @@ func (e *Engine) RunWindow(limit Time) error {
 // events; a process calling Stop should subsequently park or return.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Shutdown releases every parked process goroutine and marks the engine
+// Shutdown releases every parked process coroutine and marks the engine
 // dead. It must be called only when the engine is not running (before Run,
 // or after Run has returned): engines abandoned after a deadline, a
-// deadlock or livelock error, or a Stop would otherwise leak one goroutine
-// per unfinished process for the life of the program. Unfinished process
-// bodies are unwound via runtime.Goexit (their deferred calls run; bodies
-// that have not started yet never do). Shutdown is idempotent, and the
-// engine must not be used afterwards.
+// deadlock or livelock error, a Stop, or a panic would otherwise leak one
+// coroutine per unfinished process for the life of the program. Unfinished
+// process bodies are unwound via runtime.Goexit (their deferred calls run;
+// bodies that have not started yet never do). Shutdown is idempotent, and
+// the engine must not be used afterwards.
 func (e *Engine) Shutdown() {
 	if e.shutdown {
 		return
@@ -623,12 +605,18 @@ func (e *Engine) Shutdown() {
 		if p.done {
 			continue
 		}
-		// Wake the goroutine (parked in park or waiting to start in the
-		// Spawn wrapper); it observes e.shutdown, unwinds, and its deferred
-		// handshake confirms the exit before the next one is woken, so
-		// user-level deferred calls never run concurrently.
-		p.wake <- struct{}{}
-		<-e.reaped
+		// iter.Pull re-raises the body's Goexit in whichever goroutine
+		// calls stop, so each stop runs on a reaper goroutine of its own.
+		// Waiting for it keeps user deferred calls from running
+		// concurrently.
+		reaped := make(chan struct{})
+		//lint:ignore ksrlint/simprocess Shutdown's reaper absorbs the Goexit that stop re-raises; the engine is dead and waits for it, so no simulated process runs concurrently
+		go func() {
+			defer close(reaped)
+			p.stop()
+		}()
+		<-reaped
+		p.resume, p.stop, p.yield = nil, nil, nil
 		p.done = true
 		e.nlive--
 	}
